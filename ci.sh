@@ -8,11 +8,12 @@
 # guard, coverage floors on the serving and matching layers, the
 # suffix-array differential battery (cross-matcher round trips, the
 # cache-key aliasing regression, the SA cluster front), a bounded fuzz
-# pass over the hardened inflate entry points, the wire-frame parser
-# and the all-levels round-trip differential,
-# the observability overhead budget, and a fresh machine-readable
-# benchmark point — including the GOMAXPROCS scaling sweep and the
-# level-dial ratio table with its SA-beats-level-9 gate — gated
+# pass over the hardened inflate entry points, the three-way inflate
+# differential, the wire-frame parser and the all-levels round-trip
+# differential, the observability overhead budget, and a fresh
+# machine-readable benchmark point — including the GOMAXPROCS scaling
+# sweep, the level-dial ratio table with its SA-beats-level-9 gate and
+# the inflate rows with their beats-stdlib gate — gated
 # against the committed previous-PR baseline (the BENCH_*.json
 # trajectory format; see README "Performance & profiling").
 set -eu
@@ -115,7 +116,14 @@ for pkg in ./internal/lzss ./internal/lzss/sa; do
 done
 
 echo "== inflate fuzz (10s) =="
-go test -run '^$' -fuzz FuzzInflate -fuzztime 10s ./internal/deflate
+go test -run '^$' -fuzz '^FuzzInflate$' -fuzztime 10s ./internal/deflate
+
+echo "== inflate differential fuzz (10s) =="
+# Three decoders on every input: the table-driven core (no recover()
+# backstop), the bit-serial puff oracle and stdlib compress/flate. Core
+# and oracle must agree byte for byte and on accept/reject; stdlib may
+# differ only in the named RFC 1951 corner cases.
+go test -run '^$' -fuzz '^FuzzInflateDifferential$' -fuzztime 10s ./internal/deflate
 
 echo "== frame parser fuzz (10s) =="
 go test -run '^$' -fuzz FuzzFrameParser -fuzztime 10s ./internal/server
@@ -129,26 +137,28 @@ go test -run '^$' -fuzz FuzzRoundTripAllLevels -fuzztime 10s ./internal/deflate
 echo "== observability overhead budget =="
 go test -run '^$' -bench ObsOverhead -benchtime 5x -count=1 .
 
-echo "== benchmark report (scaling sweep, gated vs BENCH_pr9.json) =="
+echo "== benchmark report (scaling sweep, gated vs BENCH_pr10.json) =="
 # Also runs the hot-block serving gate (cached_hot_wiki must beat
-# uncached_zlib_wiki by >= 10x) and the level-dial ratio gate (every
-# suffix-array level must strictly beat level 9's ratio on wiki).
-go run ./cmd/lzssbench -json BENCH_pr10.json -sweep -compare BENCH_pr9.json
-cat BENCH_pr10.json
+# uncached_zlib_wiki by >= 10x), the level-dial ratio gate (every
+# suffix-array level must strictly beat level 9's ratio on wiki) and
+# the inflate gate (inflate_zlib_wiki must decode the level-1 wiki
+# stream at least as fast as stdlib_inflate_zlib_wiki).
+go run ./cmd/lzssbench -json BENCH_pr13.json -sweep -compare BENCH_pr10.json
+cat BENCH_pr13.json
 
 echo "== sweep completeness guard (p4 row present) =="
 # The scaling story depends on the GOMAXPROCS=4 sweep point existing in
 # the committed trajectory; a sweep that silently skipped it (or a
 # refactor that dropped the sweep) must fail CI, not ship a hole.
-if ! grep -q '"gomaxprocs": 4' BENCH_pr10.json; then
-	echo "BENCH_pr10.json sweep section is missing the GOMAXPROCS=4 row" >&2
+if ! grep -q '"gomaxprocs": 4' BENCH_pr13.json; then
+	echo "BENCH_pr13.json sweep section is missing the GOMAXPROCS=4 row" >&2
 	exit 1
 fi
 
 echo "== cached serving row guard =="
 # The hot-block trajectory rows must land in the committed report.
-if ! grep -q '"cached_hot_wiki"' BENCH_pr10.json || ! grep -q '"uncached_zlib_wiki"' BENCH_pr10.json; then
-	echo "BENCH_pr10.json is missing the cached/uncached hot-block rows" >&2
+if ! grep -q '"cached_hot_wiki"' BENCH_pr13.json || ! grep -q '"uncached_zlib_wiki"' BENCH_pr13.json; then
+	echo "BENCH_pr13.json is missing the cached/uncached hot-block rows" >&2
 	exit 1
 fi
 
@@ -156,8 +166,15 @@ echo "== level table row guard =="
 # The ratio/throughput trade-off table must land in the committed
 # report, SA endpoints included (the in-run gate already proved the
 # ratios; this guards the rows' presence in the trajectory).
-if ! grep -q '"serial_wiki_l9"' BENCH_pr10.json || ! grep -q '"serial_wiki_l12"' BENCH_pr10.json; then
-	echo "BENCH_pr10.json is missing the level-dial ratio table rows" >&2
+if ! grep -q '"serial_wiki_l9"' BENCH_pr13.json || ! grep -q '"serial_wiki_l12"' BENCH_pr13.json; then
+	echo "BENCH_pr13.json is missing the level-dial ratio table rows" >&2
+	exit 1
+fi
+
+echo "== inflate row guard =="
+# The inflate layer rows must land in the committed report.
+if ! grep -q '"inflate_zlib_wiki"' BENCH_pr13.json || ! grep -q '"stdlib_inflate_zlib_wiki"' BENCH_pr13.json; then
+	echo "BENCH_pr13.json is missing the inflate layer rows" >&2
 	exit 1
 fi
 

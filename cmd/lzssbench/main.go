@@ -15,7 +15,10 @@
 // MB/s fails the run (the CI regression gate). The report also
 // measures hot-block serving — cached_hot_wiki (a content-addressed
 // cache hit, SHA-256 key included) against uncached_zlib_wiki on the
-// same bytes — and fails unless the hit is at least 10x faster.
+// same bytes — and fails unless the hit is at least 10x faster — and
+// the inflate layer: inflate_zlib_wiki (the table-driven decoder)
+// against stdlib_inflate_zlib_wiki on the same level-1 stream, failing
+// unless ours is at least as fast.
 //
 // -cpuprofile / -memprofile write pprof profiles of whichever mode ran.
 package main

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"compress/zlib"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -198,6 +201,48 @@ func benchCacheServing(data []byte, iters int) ([]benchEntry, error) {
 	return []benchEntry{uncached, cached}, nil
 }
 
+// benchInflate measures the inflate layer: the package's table-driven
+// decoder (ZlibDecompressLimited, as the serving layer calls it) and
+// stdlib compress/zlib on the same level-1 wiki stream, stdlib reading
+// into a buffer of the exact output size. The run fails unless ours is
+// at least as fast. Both rows carry the stream's compression ratio.
+func benchInflate(data []byte, iters int) ([]benchEntry, error) {
+	z, err := lzssfpga.Compress(data, lzssfpga.LevelParams(1, 32768, 15))
+	if err != nil {
+		return nil, err
+	}
+	lim := lzssfpga.DecodeLimits{MaxOutputBytes: len(data), MaxBlocks: 1 << 20}
+	// Decoding is several times faster than compressing, so extra
+	// samples are cheap and steady the fastest-iteration figure.
+	iters *= 4
+	ours, err := benchOne("inflate_zlib_wiki", data, iters, func() ([]byte, error) {
+		return lzssfpga.DecompressLimited(z, lim)
+	})
+	if err != nil {
+		return nil, err
+	}
+	std, err := benchOne("stdlib_inflate_zlib_wiki", data, iters, func() ([]byte, error) {
+		zr, err := zlib.NewReader(bytes.NewReader(z))
+		if err != nil {
+			return nil, err
+		}
+		out := make([]byte, len(data))
+		_, err = io.ReadFull(zr, out)
+		return out, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	ours.Ratio = round3(float64(len(data)) / float64(len(z)))
+	std.Ratio = ours.Ratio
+	if ours.MBPerS < std.MBPerS {
+		return nil, fmt.Errorf("inflate %.2f MB/s is slower than stdlib compress/zlib %.2f MB/s", ours.MBPerS, std.MBPerS)
+	}
+	fmt.Printf("inflate gate: ours %.2f MB/s vs stdlib %.2f MB/s (%.2fx, floor 1x)\n",
+		ours.MBPerS, std.MBPerS, ours.MBPerS/std.MBPerS)
+	return []benchEntry{ours, std}, nil
+}
+
 // levelTableLevels spans the dial for the ratio/throughput trade-off
 // table: generation-two greedy (1, 3), chain-lazy (6, 9), and the
 // suffix-array high-ratio tier (10-12).
@@ -319,6 +364,15 @@ func writeJSONReport(path string, bytes int, seed int64, sweep bool, reg *lzssfp
 		cacheRows[i].GOMAXPROCS = rep.GOMAXPROCS
 	}
 	rep.Results = append(rep.Results, cacheRows...)
+	// Inflate layer: ours must decode at least as fast as stdlib.
+	inflateRows, err := benchInflate(data, iters)
+	if err != nil {
+		return nil, err
+	}
+	for i := range inflateRows {
+		inflateRows[i].GOMAXPROCS = rep.GOMAXPROCS
+	}
+	rep.Results = append(rep.Results, inflateRows...)
 	// Level-dial trade-off table, with the SA-beats-chain ratio gate.
 	levelRows, err := benchLevelTable(data, iters)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/zlib"
+	"errors"
 	"hash/adler32"
 	"io"
 	"math/rand"
@@ -425,15 +426,21 @@ func TestZlibDecompressRejectsCorrupt(t *testing.T) {
 }
 
 func TestHuffDecRejectsBadCodes(t *testing.T) {
-	if _, err := newHuffDec(make([]uint8, 10)); err == nil {
-		t.Error("all-zero lengths accepted")
-	}
-	over := []uint8{1, 1, 1} // three codes of length 1: over-subscribed
-	if _, err := newHuffDec(over); err == nil {
-		t.Error("over-subscribed code accepted")
-	}
-	if _, err := newHuffDec([]uint8{16}); err == nil {
-		t.Error("length 16 accepted")
+	// The puff oracle and the decode core's table builder reject the
+	// same malformed codes.
+	for name, lens := range map[string][]uint8{
+		"all-zero lengths":       make([]uint8, 10),
+		"over-subscribed code":   {1, 1, 1}, // three codes of length 1
+		"length 16":              {16},
+		"over-subscribed length": {2, 2, 2, 2, 3},
+	} {
+		if _, err := newHuffDec(lens); err == nil {
+			t.Errorf("oracle: %s accepted", name)
+		}
+		var tab huffTable
+		if err := tab.build(lens, litSyms[:], litTableBits); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("table: %s: %v", name, err)
+		}
 	}
 }
 

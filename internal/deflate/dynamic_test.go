@@ -120,6 +120,10 @@ func TestBuildCodeLengthsDecodable(t *testing.T) {
 		if _, err := newHuffDec(lens); err != nil {
 			t.Fatalf("trial %d: constructed code rejected by decoder: %v", trial, err)
 		}
+		var tab huffTable
+		if err := tab.build(lens, litSyms[:], litTableBits); err != nil {
+			t.Fatalf("trial %d: constructed code rejected by the decode tables: %v", trial, err)
+		}
 	}
 }
 

@@ -71,6 +71,27 @@ func GzipCompress(data []byte, p lzss.Params, name string) ([]byte, error) {
 // verifies CRC32 and ISIZE. It returns the data and the stored name
 // (empty if none).
 func GzipDecompress(data []byte) ([]byte, string, error) {
+	body, name, err := gzipBody(data)
+	if err != nil {
+		return nil, "", err
+	}
+	out, err := inflateChecked(body, nil, DefaultDecodeLimits())
+	if err != nil {
+		return nil, "", err
+	}
+	tr := data[len(data)-8:]
+	if got, want := checksum.CRC32(out), binary.LittleEndian.Uint32(tr[0:]); got != want {
+		return nil, "", fmt.Errorf("%w: gzip crc32 %08x != %08x", ErrCorrupt, got, want)
+	}
+	if got, want := uint32(len(out)), binary.LittleEndian.Uint32(tr[4:]); got != want {
+		return nil, "", fmt.Errorf("%w: gzip isize %d != %d", ErrCorrupt, got, want)
+	}
+	return out, name, nil
+}
+
+// gzipBody parses an RFC 1952 header and returns the Deflate body
+// (between the header and the 8-byte trailer) and the stored name.
+func gzipBody(data []byte) ([]byte, string, error) {
 	if len(data) < 18 {
 		return nil, "", fmt.Errorf("%w: gzip stream too short", ErrCorrupt)
 	}
@@ -116,50 +137,15 @@ func GzipDecompress(data []byte) ([]byte, string, error) {
 	if pos+8 > len(data) {
 		return nil, "", fmt.Errorf("%w: gzip header overruns stream", ErrCorrupt)
 	}
-	body := data[pos : len(data)-8]
-	out, err := Inflate(body)
-	if err != nil {
-		return nil, "", err
-	}
-	tr := data[len(data)-8:]
-	if got, want := checksum.CRC32(out), binary.LittleEndian.Uint32(tr[0:]); got != want {
-		return nil, "", fmt.Errorf("%w: gzip crc32 %08x != %08x", ErrCorrupt, got, want)
-	}
-	if got, want := uint32(len(out)), binary.LittleEndian.Uint32(tr[4:]); got != want {
-		return nil, "", fmt.Errorf("%w: gzip isize %d != %d", ErrCorrupt, got, want)
-	}
-	return out, name, nil
+	return data[pos : len(data)-8], name, nil
 }
 
 // GzipCommands exposes the body's command stream (for the hardware
-// decompressor model).
+// decompressor model), after the full decode has verified the stream.
 func GzipCommands(data []byte) ([]token.Command, error) {
-	out, _, err := GzipDecompress(data)
-	if err != nil {
+	if _, _, err := GzipDecompress(data); err != nil {
 		return nil, err
 	}
-	_ = out
-	// Re-locate the body: simplest correct approach is to re-parse the
-	// header the same way.
-	flg := data[3]
-	pos := 10
-	if flg&0x04 != 0 {
-		pos += 2 + int(binary.LittleEndian.Uint16(data[pos:]))
-	}
-	if flg&gzipFNAME != 0 {
-		for data[pos] != 0 {
-			pos++
-		}
-		pos++
-	}
-	if flg&0x10 != 0 {
-		for data[pos] != 0 {
-			pos++
-		}
-		pos++
-	}
-	if flg&0x02 != 0 {
-		pos += 2
-	}
-	return ParseCommands(data[pos : len(data)-8])
+	body, _, _ := gzipBody(data)
+	return ParseCommands(body)
 }

@@ -1,12 +1,10 @@
 package deflate
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-
-	"lzssfpga/internal/bitio"
 )
 
 // ErrLimit reports that a stream, while possibly well-formed, asked the
@@ -42,110 +40,51 @@ func errOutputLimit(lim DecodeLimits) error {
 	return fmt.Errorf("%w: %w: output exceeds %d bytes", ErrCorrupt, ErrLimit, lim.MaxOutputBytes)
 }
 
-// normEOF maps the reader-level end-of-input errors (bitio's sentinel,
-// or a bare io.EOF from a source that ended mid-structure) onto the
-// package's corruption contract: every truncation surfaces as an error
-// matching both ErrCorrupt and io.ErrUnexpectedEOF. Errors already
-// carrying ErrCorrupt pass through untouched.
-func normEOF(err error) error {
-	if err == nil || errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	if errors.Is(err, bitio.ErrUnexpectedEOF) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: truncated stream: %w", ErrCorrupt, io.ErrUnexpectedEOF)
-	}
-	return err
-}
-
 // InflateLimited decodes a complete raw Deflate stream under lim. It
 // never panics on any input: structural violations and truncations
 // return errors wrapping ErrCorrupt (truncations additionally match
 // io.ErrUnexpectedEOF), and output allocation never exceeds
-// lim.MaxOutputBytes by more than one stored block's bounded slack.
-func InflateLimited(data []byte, lim DecodeLimits) (out []byte, err error) {
+// lim.MaxOutputBytes. The bounds hold by construction in the decode
+// core; the recover() here is only a backstop.
+func InflateLimited(data []byte, lim DecodeLimits) ([]byte, error) {
+	return inflateChecked(data, nil, lim)
+}
+
+// Inflate decodes a complete raw Deflate stream under
+// DefaultDecodeLimits; use InflateLimited to choose the bounds.
+func Inflate(data []byte) ([]byte, error) {
+	return InflateLimited(data, DefaultDecodeLimits())
+}
+
+// ZlibDecompress parses an RFC 1950 container, inflates the body and
+// verifies the Adler-32 trailer, under DefaultDecodeLimits; use
+// ZlibDecompressLimited to choose the bounds.
+func ZlibDecompress(data []byte) ([]byte, error) {
+	return ZlibDecompressLimited(data, DefaultDecodeLimits())
+}
+
+// inflateChecked is inflate behind the exported decoders' backstop: a
+// panic, ruled out by construction, would still surface as ErrCorrupt.
+func inflateChecked(in, hist []byte, lim DecodeLimits) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("%w: panic during decode: %v", ErrCorrupt, r)
 		}
 	}()
-	return inflateBlocks(bitio.NewReader(bytes.NewReader(data)), nil, lim)
-}
-
-// inflateBlocks is the shared block loop: decode until the final block,
-// appending to out (which may be pre-seeded with preset-dictionary
-// history — the limit accounting and match distances then measure the
-// seeded slice, so callers adjust MaxOutputBytes by the seed length).
-func inflateBlocks(br *bitio.Reader, out []byte, lim DecodeLimits) ([]byte, error) {
-	blocks := 0
-	for {
-		if lim.MaxBlocks > 0 && blocks >= lim.MaxBlocks {
-			return nil, fmt.Errorf("%w: %w: more than %d blocks", ErrCorrupt, ErrLimit, lim.MaxBlocks)
-		}
-		blocks++
-		final, err := br.ReadBool()
-		if err != nil {
-			return nil, normEOF(err)
-		}
-		btype, err := br.ReadBits(2)
-		if err != nil {
-			return nil, normEOF(err)
-		}
-		switch btype {
-		case 0:
-			out, err = inflateStored(br, out, lim)
-		case 1:
-			out, err = inflateCompressed(br, out, fixedLitDec, fixedDistDec, lim)
-		case 2:
-			var lit, dist *huffDec
-			lit, dist, err = readDynamicHeader(br)
-			if err == nil {
-				out, err = inflateCompressed(br, out, lit, dist, lim)
-			}
-		default:
-			return nil, fmt.Errorf("%w: reserved block type", ErrCorrupt)
-		}
-		if err != nil {
-			return nil, normEOF(err)
-		}
-		if final {
-			return out, nil
-		}
-	}
+	return inflate(in, hist, lim)
 }
 
 // ZlibDecompressLimited parses an RFC 1950 container under lim,
 // inflates the body, and verifies the Adler-32 trailer. Same no-panic
 // and error-typing guarantees as InflateLimited.
-func ZlibDecompressLimited(data []byte, lim DecodeLimits) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("%w: panic during decode: %v", ErrCorrupt, r)
-		}
-	}()
+func ZlibDecompressLimited(data []byte, lim DecodeLimits) ([]byte, error) {
 	if len(data) < 6 {
 		return nil, fmt.Errorf("%w: zlib stream too short: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 	}
-	cmf, flg := data[0], data[1]
-	if cmf&0x0F != 8 {
-		return nil, fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
-	}
-	if (uint32(cmf)*256+uint32(flg))%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check", ErrCorrupt)
-	}
-	if flg&0x20 != 0 {
-		return nil, fmt.Errorf("%w: preset dictionary unsupported", ErrCorrupt)
-	}
-	body := data[2 : len(data)-4]
-	out, err = InflateLimited(body, lim)
-	if err != nil {
+	if err := checkZlibHeader(data, false); err != nil {
 		return nil, err
 	}
-	tr := data[len(data)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if got := AdlerChecksum(out); got != want {
-		return nil, fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
-	}
-	return out, nil
+	return inflateZlibBody(data[2:], nil, lim)
 }
 
 // ZlibDecompressDictLimited is ZlibDecompressDict under DecodeLimits:
@@ -155,26 +94,14 @@ func ZlibDecompressLimited(data []byte, lim DecodeLimits) (out []byte, err error
 // is verified against dict, and the output cap applies to the produced
 // bytes — the seeded history does not consume limit budget. Same
 // no-panic and error-typing guarantees as ZlibDecompressLimited.
-func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("%w: panic during decode: %v", ErrCorrupt, r)
-		}
-	}()
+func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) ([]byte, error) {
 	if len(data) < 10 {
 		return nil, fmt.Errorf("%w: dictionary zlib stream too short: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 	}
-	cmf, flg := data[0], data[1]
-	if cmf&0x0F != 8 {
-		return nil, fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
+	if err := checkZlibHeader(data, true); err != nil {
+		return nil, err
 	}
-	if (uint32(cmf)*256+uint32(flg))%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check", ErrCorrupt)
-	}
-	if flg&0x20 == 0 {
-		return nil, fmt.Errorf("%w: stream has no preset dictionary", ErrCorrupt)
-	}
-	dictID := uint32(data[2])<<24 | uint32(data[3])<<16 | uint32(data[4])<<8 | uint32(data[5])
+	dictID := binary.BigEndian.Uint32(data[2:])
 	if got := AdlerChecksum(dict); got != dictID {
 		return nil, fmt.Errorf("%w: DICTID %08x does not match dictionary %08x", ErrCorrupt, dictID, got)
 	}
@@ -182,19 +109,34 @@ func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) (out []byte,
 	if len(hist) > 32768 {
 		hist = hist[len(hist)-32768:]
 	}
-	if lim.MaxOutputBytes > 0 {
-		lim.MaxOutputBytes += len(hist)
+	return inflateZlibBody(data[6:], hist, lim)
+}
+
+// checkZlibHeader validates CMF/FLG: the Deflate method, FCHECK, and
+// FDICT against whether the caller holds a preset dictionary.
+func checkZlibHeader(data []byte, dict bool) error {
+	cmf, flg := data[0], data[1]
+	switch {
+	case cmf&0x0F != 8:
+		return fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
+	case (uint32(cmf)*256+uint32(flg))%31 != 0:
+		return fmt.Errorf("%w: zlib header check", ErrCorrupt)
+	case dict && flg&0x20 == 0:
+		return fmt.Errorf("%w: stream has no preset dictionary", ErrCorrupt)
+	case !dict && flg&0x20 != 0:
+		return fmt.Errorf("%w: preset dictionary unsupported", ErrCorrupt)
 	}
-	seed := append(make([]byte, 0, len(hist)+1024), hist...)
-	body := data[6 : len(data)-4]
-	full, err := inflateBlocks(bitio.NewReader(bytes.NewReader(body)), seed, lim)
+	return nil
+}
+
+// inflateZlibBody inflates a zlib body (after hist) and verifies the
+// Adler-32 trailer in its last four bytes.
+func inflateZlibBody(rest, hist []byte, lim DecodeLimits) ([]byte, error) {
+	out, err := inflateChecked(rest[:len(rest)-4], hist, lim)
 	if err != nil {
-		return nil, normEOF(err)
+		return nil, err
 	}
-	out = full[len(hist):]
-	tr := data[len(data)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if got := AdlerChecksum(out); got != want {
+	if got, want := AdlerChecksum(out), binary.BigEndian.Uint32(rest[len(rest)-4:]); got != want {
 		return nil, fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
 	}
 	return out, nil

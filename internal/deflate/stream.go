@@ -1,6 +1,7 @@
 package deflate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -198,262 +199,158 @@ func (zw *Writer) Close() error {
 	return err
 }
 
-// StreamInflater is an incremental raw-Deflate decoder implementing
-// io.Reader. It keeps the 32 KB history window needed to resolve
-// back-references across Read calls.
+// StreamInflater is an incremental raw-Deflate io.Reader: the decode
+// core run into a sliding window with 32 KiB of history, pulling input
+// as it needs it. It enforces DefaultDecodeLimits().MaxBlocks, so
+// endless empty blocks are rejected instead of hanging a Read.
 type StreamInflater struct {
-	br   *bitio.Reader
-	hist [32768]byte
-	hpos int
-	hlen int
-
-	lit, dist *huffDec
-	inBlock   bool
-	stored    int  // remaining stored-block bytes (when storedMode)
-	storedMod bool // current block is stored
-	finalBlk  bool
-	done      bool
-
-	// In-flight copy when a match straddles a Read boundary.
-	copyLen  int
-	copyDist int
-
-	err error
+	f     inflater
+	src   io.Reader
+	buf   []byte // input buffer behind f.br.in
+	rd    int    // next byte of f.out to hand out
+	err   error
+	adler *Adler32 // zlib framing (NewReader): sums output, checks trailer
 }
+
+// Window: 32 KiB of history, 64 KiB decoded per slide, one match of slack.
+const (
+	windowHistory = 1 << 15
+	windowChunk   = 1 << 16
+)
 
 // NewStreamInflater decodes the raw Deflate stream from r.
 func NewStreamInflater(r io.Reader) *StreamInflater {
-	return &StreamInflater{br: bitio.NewReader(r)}
-}
-
-func (d *StreamInflater) record(b byte) {
-	d.hist[d.hpos] = b
-	d.hpos = (d.hpos + 1) & 32767
-	if d.hlen < 32768 {
-		d.hlen++
-	}
+	return &StreamInflater{src: r, buf: make([]byte, 32<<10), f: inflater{
+		out:     make([]byte, windowHistory+windowChunk+token.MaxMatch),
+		window:  true,
+		yieldAt: windowHistory + windowChunk,
+		lim:     DecodeLimits{MaxBlocks: DefaultDecodeLimits().MaxBlocks},
+		tabs:    new(inflateTables),
+	}}
 }
 
 // Read implements io.Reader.
 func (d *StreamInflater) Read(p []byte) (int, error) {
-	if d.err != nil {
-		return 0, d.err
+	for d.rd == d.f.w {
+		if d.err != nil {
+			return 0, d.err
+		}
+		d.err = d.decode()
 	}
-	n := 0
-	for n < len(p) {
-		if d.copyLen > 0 {
-			src := (d.hpos - d.copyDist + 65536) & 32767
-			b := d.hist[src]
-			d.record(b)
-			p[n] = b
-			n++
-			d.copyLen--
-			continue
-		}
-		if d.done {
-			d.err = io.EOF
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		}
-		if !d.inBlock {
-			if err := d.beginBlock(); err != nil {
-				d.err = normEOF(err)
-				return n, d.err
-			}
-			continue
-		}
-		if d.storedMod {
-			if d.stored == 0 {
-				d.endBlock()
-				continue
-			}
-			v, err := d.br.ReadBits(8)
-			if err != nil {
-				d.err = normEOF(err)
-				return n, d.err
-			}
-			b := byte(v)
-			d.record(b)
-			p[n] = b
-			n++
-			d.stored--
-			continue
-		}
-		sym, err := d.lit.decode(d.br)
-		if err != nil {
-			d.err = normEOF(err)
-			return n, d.err
-		}
-		switch {
-		case sym < 256:
-			b := byte(sym)
-			d.record(b)
-			p[n] = b
-			n++
-		case sym == endOfBlock:
-			d.endBlock()
-		case sym <= maxLitLen:
-			if err := d.startCopy(sym); err != nil {
-				d.err = normEOF(err)
-				return n, d.err
-			}
-		default:
-			d.err = fmt.Errorf("%w: literal/length symbol %d", ErrCorrupt, sym)
-			return n, d.err
-		}
-	}
+	n := copy(p, d.f.out[d.rd:d.f.w])
+	d.rd += n
 	return n, nil
 }
 
-func (d *StreamInflater) beginBlock() error {
-	final, err := d.br.ReadBool()
+// decode runs the core until it has output, the stream ends (io.EOF)
+// or it is rejected; Read drains the output first.
+func (d *StreamInflater) decode() error {
+	if d.f.w > d.f.yieldAt {
+		d.f.w = copy(d.f.out, d.f.out[d.f.w-windowHistory:d.f.w])
+		d.rd = d.f.w
+	}
+	for {
+		start := d.f.w
+		err := d.f.run()
+		if d.adler != nil {
+			d.adler.Write(d.f.out[start:d.f.w])
+		}
+		switch {
+		case err == nil:
+			return d.end()
+		case err == errNeedInput && d.rd == d.f.w:
+			if err := d.fill(); err != nil {
+				return err
+			}
+		case err == errNeedInput || err == errYield:
+			return nil // hand out what is decoded before reading on
+		default:
+			return err
+		}
+	}
+}
+
+// end finishes the stream, checking a zlib trailer.
+func (d *StreamInflater) end() error {
+	if d.adler == nil {
+		return io.EOF
+	}
+	tr, err := d.aligned(4)
 	if err != nil {
 		return err
 	}
-	btype, err := d.br.ReadBits(2)
-	if err != nil {
-		return err
-	}
-	d.finalBlk = final
-	d.inBlock = true
-	d.storedMod = false
-	switch btype {
-	case 0:
-		d.br.AlignByte()
-		ln, err := d.br.ReadBits(16)
-		if err != nil {
-			return err
-		}
-		nlen, err := d.br.ReadBits(16)
-		if err != nil {
-			return err
-		}
-		if ln != ^nlen&0xFFFF {
-			return fmt.Errorf("%w: stored length check", ErrCorrupt)
-		}
-		d.storedMod = true
-		d.stored = int(ln)
-	case 1:
-		d.lit, d.dist = fixedLitDec, fixedDistDec
-	case 2:
-		lit, dist, err := readDynamicHeader(d.br)
-		if err != nil {
-			return err
-		}
-		d.lit, d.dist = lit, dist
-	default:
-		return fmt.Errorf("%w: reserved block type", ErrCorrupt)
-	}
-	return nil
-}
-
-func (d *StreamInflater) endBlock() {
-	d.inBlock = false
-	if d.finalBlk {
-		d.done = true
-	}
-}
-
-func (d *StreamInflater) startCopy(sym int) error {
-	i := sym - 257
-	length := int(lengthBase[i])
-	if lengthExtra[i] > 0 {
-		e, err := d.br.ReadBits(uint(lengthExtra[i]))
-		if err != nil {
-			return err
-		}
-		length += int(e)
-	}
-	dsym, err := d.dist.decode(d.br)
-	if err != nil {
-		return err
-	}
-	if dsym >= numDistSym {
-		return fmt.Errorf("%w: distance symbol %d", ErrCorrupt, dsym)
-	}
-	dist := int(distBase[dsym])
-	if distExtra[dsym] > 0 {
-		e, err := d.br.ReadBits(uint(distExtra[dsym]))
-		if err != nil {
-			return err
-		}
-		dist += int(e)
-	}
-	if dist > d.hlen {
-		return fmt.Errorf("%w: distance %d exceeds history %d", ErrCorrupt, dist, d.hlen)
-	}
-	d.copyLen, d.copyDist = length, dist
-	return nil
-}
-
-// Reader is the streaming zlib (RFC 1950) decompressor: header check,
-// incremental inflate, Adler-32 verification at end of stream.
-type Reader struct {
-	d     *StreamInflater
-	adler *Adler32
-	eof   bool
-	err   error
-}
-
-// NewReader parses the zlib header from r and returns a streaming
-// decompressor for the body.
-func NewReader(r io.Reader) (*Reader, error) {
-	d := NewStreamInflater(r)
-	cmf, err := d.br.ReadBits(8)
-	if err != nil {
-		return nil, normEOF(err)
-	}
-	flg, err := d.br.ReadBits(8)
-	if err != nil {
-		return nil, normEOF(err)
-	}
-	if cmf&0x0F != 8 {
-		return nil, fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
-	}
-	if (cmf*256+flg)%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check", ErrCorrupt)
-	}
-	if flg&0x20 != 0 {
-		return nil, fmt.Errorf("%w: preset dictionary unsupported", ErrCorrupt)
-	}
-	return &Reader{d: d, adler: NewAdler32()}, nil
-}
-
-// Read implements io.Reader; on clean EOF the Adler-32 trailer has been
-// verified.
-func (zr *Reader) Read(p []byte) (int, error) {
-	if zr.err != nil {
-		return 0, zr.err
-	}
-	n, err := zr.d.Read(p)
-	zr.adler.Write(p[:n])
-	if err == io.EOF && !zr.eof {
-		zr.eof = true
-		if terr := zr.checkTrailer(); terr != nil {
-			zr.err = terr
-			return n, terr
-		}
-	}
-	if err != nil {
-		zr.err = err
-	}
-	return n, err
-}
-
-func (zr *Reader) checkTrailer() error {
-	zr.d.br.AlignByte()
-	var want uint32
-	for i := 0; i < 4; i++ {
-		v, err := zr.d.br.ReadBits(8)
-		if err != nil {
-			return fmt.Errorf("%w: truncated adler trailer: %w", ErrCorrupt, io.ErrUnexpectedEOF)
-		}
-		want = want<<8 | v
-	}
-	if got := zr.adler.Sum32(); got != want {
+	if got, want := d.adler.Sum32(), binary.BigEndian.Uint32(tr); got != want {
 		return fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
 	}
+	return io.EOF
+}
+
+// fill compacts the unread input and reads more; no data means its end.
+// Whole bytes still in the bit buffer are kept, so unload can return them.
+func (d *StreamInflater) fill() error {
+	br := &d.f.br
+	keep := br.pos - int(br.nb-br.over)>>3
+	n := copy(d.buf, br.in[keep:])
+	m, err := d.src.Read(d.buf[n:])
+	br.in, br.pos = d.buf[:n+m], br.pos-keep
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	d.f.eof = err != nil || m == 0
 	return nil
+}
+
+// aligned returns the next n byte-aligned input bytes (zlib framing).
+func (d *StreamInflater) aligned(n int) ([]byte, error) {
+	br := &d.f.br
+	br.unload()
+	for len(br.in)-br.pos < n {
+		if d.f.eof {
+			return nil, errTruncated
+		}
+		if err := d.fill(); err != nil {
+			return nil, err
+		}
+	}
+	br.pos += n
+	return br.in[br.pos-n : br.pos], nil
+}
+
+// ParseCommands decodes a raw Deflate stream into the LZSS command
+// stream it encodes — the view a hardware decompressor's copy engine
+// consumes. Stored-block bytes become literal commands.
+//
+// token.Expand(ParseCommands(x)) equals Inflate(x) for every valid x;
+// the property is enforced by tests.
+func ParseCommands(data []byte) ([]token.Command, error) {
+	return ParseCommandsWithHistory(data, 0)
+}
+
+// ParseCommandsWithHistory is ParseCommands for streams whose matches
+// may reach back into `history` bytes of preset dictionary. It caps
+// neither blocks nor output.
+func ParseCommandsWithHistory(data []byte, history int) ([]token.Command, error) {
+	d := NewStreamInflater(nil)
+	d.f.br.in, d.f.eof, d.f.lim, d.f.record = data, true, DecodeLimits{}, true
+	d.f.w = min(history, windowHistory) // zero bytes: only distances matter
+	if _, err := io.Copy(io.Discard, d); err != nil {
+		return nil, err
+	}
+	return d.f.cmds, nil
+}
+
+// NewReader parses the zlib (RFC 1950) header from r and returns a
+// streaming decompressor for the body; on clean EOF the Adler-32
+// trailer has been verified.
+func NewReader(r io.Reader) (*StreamInflater, error) {
+	d := NewStreamInflater(r)
+	hdr, err := d.aligned(2)
+	if err == nil {
+		err = checkZlibHeader(hdr, false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.adler = NewAdler32()
+	return d, nil
 }

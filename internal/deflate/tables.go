@@ -1,8 +1,9 @@
 // Package deflate implements the subset of RFC 1951/1950 the paper's
 // hardware emits — fixed-table Huffman blocks inside a ZLib container —
-// plus a full, independent inflater (stored, fixed and dynamic blocks)
-// used to verify streams without trusting the encoder, and a dynamic-
-// Huffman encoder as the compression-ratio extension the paper mentions.
+// plus a full table-driven inflater (stored, fixed and dynamic blocks),
+// held in the tests to an independent bit-serial oracle so streams are
+// verified without trusting the encoder, and a dynamic-Huffman encoder
+// as the compression-ratio extension the paper mentions.
 package deflate
 
 import (
