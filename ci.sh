@@ -137,28 +137,31 @@ go test -run '^$' -fuzz FuzzRoundTripAllLevels -fuzztime 10s ./internal/deflate
 echo "== observability overhead budget =="
 go test -run '^$' -bench ObsOverhead -benchtime 5x -count=1 .
 
-echo "== benchmark report (scaling sweep, gated vs BENCH_pr10.json) =="
+echo "== benchmark report (scaling sweep, gated vs BENCH_pr13.json) =="
 # Also runs the hot-block serving gate (cached_hot_wiki must beat
 # uncached_zlib_wiki by >= 10x), the level-dial ratio gate (every
 # suffix-array level must strictly beat level 9's ratio on wiki) and
 # the inflate gate (inflate_zlib_wiki must decode the level-1 wiki
-# stream at least as fast as stdlib_inflate_zlib_wiki).
-go run ./cmd/lzssbench -json BENCH_pr13.json -sweep -compare BENCH_pr10.json
-cat BENCH_pr13.json
+# stream at least as fast as stdlib_inflate_zlib_wiki). The -compare
+# gate matches the sweep rows (parallel, parallel_dict) on name plus
+# GOMAXPROCS and every other row on name alone, and fails on any MB/s
+# regression beyond tolerance or any ratio change.
+go run ./cmd/lzssbench -json BENCH_pr14.json -sweep -compare BENCH_pr13.json
+cat BENCH_pr14.json
 
 echo "== sweep completeness guard (p4 row present) =="
 # The scaling story depends on the GOMAXPROCS=4 sweep point existing in
 # the committed trajectory; a sweep that silently skipped it (or a
 # refactor that dropped the sweep) must fail CI, not ship a hole.
-if ! grep -q '"gomaxprocs": 4' BENCH_pr13.json; then
-	echo "BENCH_pr13.json sweep section is missing the GOMAXPROCS=4 row" >&2
+if ! grep -q '"gomaxprocs": 4' BENCH_pr14.json; then
+	echo "BENCH_pr14.json sweep section is missing the GOMAXPROCS=4 row" >&2
 	exit 1
 fi
 
 echo "== cached serving row guard =="
 # The hot-block trajectory rows must land in the committed report.
-if ! grep -q '"cached_hot_wiki"' BENCH_pr13.json || ! grep -q '"uncached_zlib_wiki"' BENCH_pr13.json; then
-	echo "BENCH_pr13.json is missing the cached/uncached hot-block rows" >&2
+if ! grep -q '"cached_hot_wiki"' BENCH_pr14.json || ! grep -q '"uncached_zlib_wiki"' BENCH_pr14.json; then
+	echo "BENCH_pr14.json is missing the cached/uncached hot-block rows" >&2
 	exit 1
 fi
 
@@ -166,15 +169,15 @@ echo "== level table row guard =="
 # The ratio/throughput trade-off table must land in the committed
 # report, SA endpoints included (the in-run gate already proved the
 # ratios; this guards the rows' presence in the trajectory).
-if ! grep -q '"serial_wiki_l9"' BENCH_pr13.json || ! grep -q '"serial_wiki_l12"' BENCH_pr13.json; then
-	echo "BENCH_pr13.json is missing the level-dial ratio table rows" >&2
+if ! grep -q '"serial_wiki_l9"' BENCH_pr14.json || ! grep -q '"serial_wiki_l12"' BENCH_pr14.json; then
+	echo "BENCH_pr14.json is missing the level-dial ratio table rows" >&2
 	exit 1
 fi
 
 echo "== inflate row guard =="
 # The inflate layer rows must land in the committed report.
-if ! grep -q '"inflate_zlib_wiki"' BENCH_pr13.json || ! grep -q '"stdlib_inflate_zlib_wiki"' BENCH_pr13.json; then
-	echo "BENCH_pr13.json is missing the inflate layer rows" >&2
+if ! grep -q '"inflate_zlib_wiki"' BENCH_pr14.json || ! grep -q '"stdlib_inflate_zlib_wiki"' BENCH_pr14.json; then
+	echo "BENCH_pr14.json is missing the inflate layer rows" >&2
 	exit 1
 fi
 

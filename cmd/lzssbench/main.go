@@ -45,7 +45,7 @@ var (
 	mb         = flag.Int("mb", 4, "corpus fragment size in MiB for the figures")
 	seed       = flag.Int64("seed", 1, "corpus generator seed")
 	jsonPath   = flag.String("json", "", "write a machine-readable benchmark report to this path instead of running experiments")
-	compareTo  = flag.String("compare", "", "with -json: fail if any result regresses >10% in MB/s vs this earlier report (rows match on name + gomaxprocs)")
+	compareTo  = flag.String("compare", "", "with -json: fail if any result regresses >10% in MB/s or changes ratio vs this earlier report (sweep rows match on name + gomaxprocs, the rest on name)")
 	sweepArg   = flag.Bool("sweep", false, "with -json: additionally measure the parallel paths at GOMAXPROCS 1/2/4/8, rebuilding the engine at each width")
 	metrics    = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run")
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")

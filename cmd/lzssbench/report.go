@@ -439,12 +439,20 @@ func sweepParallel(data []byte, p lzssfpga.Params, iters int) ([]benchEntry, err
 	return out, nil
 }
 
-// rowKey identifies a result row for comparison: name plus the
-// GOMAXPROCS it was measured at, falling back to the report-level
-// value for rows from reports that predate per-row recording. Gating
-// a 4-core sweep row against a 1-core baseline row of the same name
-// would manufacture fake regressions (or hide real ones).
+// sweepRows names the rows -sweep measures at several GOMAXPROCS.
+var sweepRows = map[string]bool{"parallel": true, "parallel_dict": true}
+
+// rowKey identifies a result row for comparison. A sweep row's key is
+// its name plus the GOMAXPROCS it was measured at, falling back to the
+// report-level value for rows from reports that predate per-row
+// recording: gating a 4-core sweep row against a 1-core baseline row of
+// the same name would manufacture fake regressions (or hide real ones).
+// Every other row is keyed by name alone, so reports taken at different
+// GOMAXPROCS still gate it.
 func rowKey(rep *benchReport, e benchEntry) string {
+	if !sweepRows[e.Name] {
+		return e.Name
+	}
 	g := e.GOMAXPROCS
 	if g == 0 {
 		g = rep.GOMAXPROCS
@@ -453,8 +461,10 @@ func rowKey(rep *benchReport, e benchEntry) string {
 }
 
 // compareReports gates cur's results against the report at oldPath:
-// every benchmark present in both (same name, same effective
-// GOMAXPROCS) must be within regressionTolerance of the old MB/s.
+// every benchmark present in both (same rowKey) must be within
+// regressionTolerance of the old MB/s and, when both reports measured
+// the same corpus, have exactly the old ratio — the compressed bytes
+// are deterministic, so any ratio change is a behaviour change.
 // Benchmarks only on one side are reported but don't fail, so adding
 // or retiring a configuration doesn't break the gate.
 func compareReports(cur *benchReport, oldPath string) error {
@@ -499,6 +509,11 @@ func compareReports(cur *benchReport, oldPath string) error {
 				cur.CalibMBPerS, old.CalibMBPerS, scale)
 		}
 	}
+	sameCorpus := cur.Workload == old.Workload && cur.Bytes == old.Bytes && cur.Seed == old.Seed
+	if !sameCorpus {
+		fmt.Printf("compare: corpus differs (%s/%d bytes/seed %d now vs %s/%d/%d in %s); ratios not gated\n",
+			cur.Workload, cur.Bytes, cur.Seed, old.Workload, old.Bytes, old.Seed, oldPath)
+	}
 	var regressions []string
 	for _, e := range cur.Results {
 		k := rowKey(cur, e)
@@ -515,13 +530,17 @@ func compareReports(cur *benchReport, oldPath string) error {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.2f MB/s vs %.2f (floor %.2f)", k, e.MBPerS, o.MBPerS*scale, floor))
 		}
+		if sameCorpus && e.Ratio != o.Ratio {
+			status = "RATIO CHANGED"
+			regressions = append(regressions, fmt.Sprintf("%s: ratio %.3f vs %.3f", k, e.Ratio, o.Ratio))
+		}
 		fmt.Printf("compare: %-18s %8.2f MB/s vs %8.2f baseline  %s\n", k, e.MBPerS, o.MBPerS*scale, status)
 	}
 	for name := range prev {
 		fmt.Printf("compare: %-18s retired (present only in %s)\n", name, oldPath)
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("throughput regressed >%d%% vs %s:\n\t%s",
+		return fmt.Errorf("throughput regressed >%d%% or ratio changed vs %s:\n\t%s",
 			int(regressionTolerance*100), oldPath, strings.Join(regressions, "\n\t"))
 	}
 	return nil

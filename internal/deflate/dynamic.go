@@ -251,6 +251,33 @@ func (p *dynamicPlan) emit(bw *bitio.Writer, cmds []token.Command, final bool) e
 	return bw.Err()
 }
 
+// blockBits plans cmds into p and returns the size in bits of the
+// cheaper Huffman encoding of cmds as one block — end-of-block symbol
+// included, 3-bit block header excluded — and whether that encoding is
+// the dynamic one (a tie goes to fixed, which carries no code tables).
+func blockBits(p *dynamicPlan, cmds []token.Command) (bits int, dynamic bool) {
+	p.plan(cmds)
+	dyn := p.headerBits() + p.bodyBits(cmds)
+	fix := 7 // end-of-block
+	for _, c := range cmds {
+		fix += CommandBits(c)
+	}
+	if dyn < fix {
+		return dyn, true
+	}
+	return fix, false
+}
+
+// writeBlock writes cmds as one block in the cheaper of the dynamic and
+// fixed Huffman encodings, planning into p: the per-block choice of the
+// parallel segments, the streaming Writer and SplitDeflate.
+func writeBlock(bw *bitio.Writer, p *dynamicPlan, cmds []token.Command, final bool) error {
+	if _, dynamic := blockBits(p, cmds); dynamic {
+		return p.emit(bw, cmds, final)
+	}
+	return writeFixed(bw, cmds, final)
+}
+
 // DynamicDeflate encodes cmds as one final dynamic-Huffman block.
 func DynamicDeflate(cmds []token.Command) ([]byte, error) {
 	var buf bytes.Buffer
@@ -268,30 +295,25 @@ func DynamicDeflate(cmds []token.Command) ([]byte, error) {
 // stored, fixed-Huffman and dynamic-Huffman — zlib's per-block choice.
 // src must be the bytes cmds expand to (needed for the stored option).
 func BestDeflate(cmds []token.Command, src []byte) ([]byte, error) {
-	p := planDynamic(cmds)
-	dynBits := 3 + p.headerBits() + p.bodyBits(cmds)
-	fixBits := 3 + 7 // header + EOB
-	for _, c := range cmds {
-		fixBits += CommandBits(c)
-	}
+	p := new(dynamicPlan)
+	bits, dynamic := blockBits(p, cmds)
 	// Stored: 5 bytes of header per 65535-byte chunk, byte-aligned.
 	storedBits := 8 * (len(src) + 5*(len(src)/65535+1))
 	switch {
-	case storedBits < dynBits && storedBits < fixBits:
+	case storedBits < 3+bits:
 		return StoredDeflate(src)
-	case dynBits < fixBits:
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
-		if err := p.emit(bw, cmds, true); err != nil {
-			return nil, err
-		}
-		if err := bw.Flush(); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	default:
+	case !dynamic:
 		return FixedDeflate(cmds)
 	}
+	var buf bytes.Buffer
+	bw := bitio.NewWriter(&buf)
+	if err := p.emit(bw, cmds, true); err != nil {
+		return nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // ZlibCompressBest is ZlibCompress with per-block format selection.

@@ -126,6 +126,29 @@ func CommandBits(c token.Command) int {
 	return n + int(lc.extra) + 5 + int(dc.extra)
 }
 
+// writeFixed writes cmds as one fixed-Huffman block.
+func writeFixed(bw *bitio.Writer, cmds []token.Command, final bool) error {
+	e := NewEncoder(bw)
+	e.BeginBlock(final)
+	if err := e.EncodeAll(cmds); err != nil {
+		return err
+	}
+	e.EndBlock()
+	return bw.Err()
+}
+
+// writeStoredHeader starts a stored block of n bytes: block header,
+// byte alignment, LEN and NLEN. With n == 0 it is the whole block — the
+// empty stored block that byte-aligns a sync flush (zlib's Z_SYNC_FLUSH
+// marker) or closes a parallel segment, carrying BFINAL on the last.
+func writeStoredHeader(bw *bitio.Writer, n int, final bool) {
+	bw.WriteBool(final)
+	bw.WriteBits(0b00, 2)
+	bw.AlignByte()
+	bw.WriteBits(uint32(n), 16)
+	bw.WriteBits(^uint32(n)&0xFFFF, 16)
+}
+
 // FixedDeflate encodes cmds as a single final fixed-Huffman block and
 // returns the raw Deflate stream.
 func FixedDeflate(cmds []token.Command) ([]byte, error) {
@@ -134,12 +157,9 @@ func FixedDeflate(cmds []token.Command) ([]byte, error) {
 	// bits; a short estimate only costs a growth copy, never correctness.
 	buf.Grow(len(cmds)*2 + 64)
 	bw := bitio.NewWriter(&buf)
-	e := NewEncoder(bw)
-	e.BeginBlock(true)
-	if err := e.EncodeAll(cmds); err != nil {
+	if err := writeFixed(bw, cmds, true); err != nil {
 		return nil, err
 	}
-	e.EndBlock()
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
@@ -160,12 +180,7 @@ func StoredDeflate(src []byte) ([]byte, error) {
 		}
 		rest = rest[len(chunk):]
 		final := len(rest) == 0
-		bw.WriteBool(final)
-		bw.WriteBits(0b00, 2)
-		bw.AlignByte()
-		n := uint32(len(chunk))
-		bw.WriteBits(n, 16)
-		bw.WriteBits(^n&0xFFFF, 16)
+		writeStoredHeader(bw, len(chunk), final)
 		bw.WriteBytes(chunk)
 		if final {
 			break
@@ -223,12 +238,9 @@ func ZlibCompress(cmds []token.Command, src []byte, window int) ([]byte, error) 
 	buf.Grow(len(cmds)*2 + 64)
 	buf.Write(hdr[:])
 	bw := bitio.NewWriter(&buf)
-	e := NewEncoder(bw)
-	e.BeginBlock(true)
-	if err := e.EncodeAll(cmds); err != nil {
+	if err := writeFixed(bw, cmds, true); err != nil {
 		return nil, err
 	}
-	e.EndBlock()
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}

@@ -341,14 +341,6 @@ func (w *segWorker) compressSegment(buf []byte, origin int, final bool, hint int
 			fmt.Sprintf(`{"segment":%d,"bytes":%d,"commands":%d}`, w.seg, len(buf)-origin, len(w.cmds)))
 	}
 	encodeStart := time.Now()
-	cmds := w.cmds
-	plan := &w.plan
-	plan.plan(cmds)
-	dynBits := plan.headerBits() + plan.bodyBits(cmds)
-	fixBits := 7
-	for _, c := range cmds {
-		fixBits += CommandBits(c)
-	}
 	// Encode straight into an arena buffer: the filled buffer IS the
 	// returned body, so the old copy-to-fresh-slice step is gone. On an
 	// error path the buffer goes straight back to the arena.
@@ -361,24 +353,10 @@ func (w *segWorker) compressSegment(buf []byte, origin int, final bool, hint int
 	}
 	bw := w.bw
 	bw.Reset(&w.out)
-	if dynBits < fixBits {
-		if err := plan.emit(bw, cmds, false); err != nil {
-			return fail(err)
-		}
-	} else {
-		e := NewEncoder(bw)
-		e.BeginBlock(false)
-		if err := e.EncodeAll(cmds); err != nil {
-			return fail(err)
-		}
-		e.EndBlock()
+	if err := writeBlock(bw, &w.plan, w.cmds, false); err != nil {
+		return fail(err)
 	}
-	// Alignment / final marker: an empty stored block.
-	bw.WriteBool(final)
-	bw.WriteBits(0b00, 2)
-	bw.AlignByte()
-	bw.WriteBits(0, 16)
-	bw.WriteBits(0xFFFF, 16)
+	writeStoredHeader(bw, 0, final) // alignment / final marker
 	if err := bw.Flush(); err != nil {
 		return fail(err)
 	}

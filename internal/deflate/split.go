@@ -20,19 +20,11 @@ import (
 const splitCandidateCommands = 8192
 
 // segmentCost returns the encoded size in bits of cmds as one block,
-// taking the cheaper of fixed and dynamic (stored is handled by the
-// caller, which knows the raw bytes).
-func segmentCost(cmds []token.Command) int {
-	p := planDynamic(cmds)
-	dyn := 3 + p.headerBits() + p.bodyBits(cmds)
-	fix := 3 + 7
-	for _, c := range cmds {
-		fix += CommandBits(c)
-	}
-	if dyn < fix {
-		return dyn
-	}
-	return fix
+// header included, taking the cheaper of fixed and dynamic (stored is
+// left out: SplitDeflate has no raw bytes to store).
+func segmentCost(p *dynamicPlan, cmds []token.Command) int {
+	bits, _ := blockBits(p, cmds)
+	return 3 + bits
 }
 
 // SplitDeflate encodes cmds as a sequence of statistically coherent
@@ -47,15 +39,16 @@ func SplitDeflate(cmds []token.Command) ([]byte, error) {
 		bounds = append(bounds, i)
 	}
 	bounds = append(bounds, len(cmds))
+	p := new(dynamicPlan)
 	costs := make([]int, len(bounds)-1)
 	for i := range costs {
-		costs[i] = segmentCost(cmds[bounds[i]:bounds[i+1]])
+		costs[i] = segmentCost(p, cmds[bounds[i]:bounds[i+1]])
 	}
 	// Greedy neighbour merging: accept any merge that does not lose.
 	for {
 		merged := false
 		for i := 0; i+1 < len(costs); i++ {
-			joint := segmentCost(cmds[bounds[i]:bounds[i+2]])
+			joint := segmentCost(p, cmds[bounds[i]:bounds[i+2]])
 			if joint <= costs[i]+costs[i+1] {
 				bounds = append(bounds[:i+1], bounds[i+2:]...)
 				costs[i] = joint
@@ -71,25 +64,9 @@ func SplitDeflate(cmds []token.Command) ([]byte, error) {
 	var buf bytes.Buffer
 	bw := bitio.NewWriter(&buf)
 	for i := 0; i+1 < len(bounds); i++ {
-		seg := cmds[bounds[i]:bounds[i+1]]
 		final := i+2 == len(bounds)
-		p := planDynamic(seg)
-		dyn := p.headerBits() + p.bodyBits(seg)
-		fix := 7
-		for _, c := range seg {
-			fix += CommandBits(c)
-		}
-		if dyn < fix {
-			if err := p.emit(bw, seg, final); err != nil {
-				return nil, err
-			}
-		} else {
-			e := NewEncoder(bw)
-			e.BeginBlock(final)
-			if err := e.EncodeAll(seg); err != nil {
-				return nil, err
-			}
-			e.EndBlock()
+		if err := writeBlock(bw, p, cmds[bounds[i]:bounds[i+1]], final); err != nil {
+			return nil, err
 		}
 	}
 	if err := bw.Flush(); err != nil {

@@ -13,14 +13,15 @@ import (
 // Writer is a streaming zlib compressor: an incremental LZSS stage
 // (lzss.StreamCompressor) feeding per-block Huffman encoding. Each
 // block is emitted as fixed or dynamic, whichever is smaller for its
-// symbol statistics; Close finishes the stream with the final block and
-// the Adler-32 trailer. Output is standard RFC 1950.
+// symbol statistics (writeBlock); Close finishes the stream with the
+// final block and the Adler-32 trailer. Output is standard RFC 1950.
 type Writer struct {
 	w       *countWriter
 	bw      *bitio.Writer
 	sc      *lzss.StreamCompressor
 	adler   *Adler32
 	pending []token.Command
+	plan    dynamicPlan
 	window  int
 	closed  bool
 	err     error
@@ -62,7 +63,10 @@ func (zw *Writer) flushObs() {
 // bound latency and memory.
 const blockCommands = 32768
 
-// NewWriter starts a zlib stream on w with matching parameters p.
+// NewWriter starts a zlib stream on w with matching parameters p. The
+// LZSS parse is greedy whatever p.Lazy says: the commands equal
+// lzss.Compress with Lazy cleared (see lzss.StreamCompressor), so a
+// lazy preset such as LevelParams(6, …) streams at greedy ratio.
 func NewWriter(w io.Writer, p lzss.Params) (*Writer, error) {
 	sc, err := lzss.NewStreamCompressor(p)
 	if err != nil {
@@ -110,29 +114,7 @@ func (zw *Writer) emitBlock(cmds []token.Command, final bool) error {
 	if k := deflateObs.Load(); k != nil {
 		k.streamBlocks.Inc()
 	}
-	plan := planDynamic(cmds)
-	dynBits := plan.headerBits() + plan.bodyBits(cmds)
-	fixBits := 7 // end-of-block
-	for _, c := range cmds {
-		fixBits += CommandBits(c)
-	}
-	if dynBits < fixBits {
-		if err := plan.emit(zw.bw, cmds, final); err != nil {
-			zw.err = err
-			return err
-		}
-	} else {
-		e := NewEncoder(zw.bw)
-		e.BeginBlock(final)
-		if err := e.EncodeAll(cmds); err != nil {
-			zw.err = err
-			return err
-		}
-		e.EndBlock()
-	}
-	if err := zw.bw.Err(); err != nil {
-		zw.err = err
-	}
+	zw.err = writeBlock(zw.bw, &zw.plan, cmds, final)
 	return zw.err
 }
 
@@ -159,12 +141,7 @@ func (zw *Writer) Flush() error {
 		}
 		zw.pending = zw.pending[:0]
 	}
-	// Empty stored block: byte alignment + a visible flush marker.
-	zw.bw.WriteBool(false)
-	zw.bw.WriteBits(0b00, 2)
-	zw.bw.AlignByte()
-	zw.bw.WriteBits(0, 16)
-	zw.bw.WriteBits(0xFFFF, 16)
+	writeStoredHeader(zw.bw, 0, false) // byte alignment + a visible flush marker
 	if err := zw.bw.Flush(); err != nil {
 		zw.err = err
 	}

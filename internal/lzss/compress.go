@@ -68,15 +68,15 @@ func CompressReuse(dst []token.Command, m *Matcher, src []byte) []token.Command 
 // the prefix so early matches can reach back into it (distances may
 // exceed the number of produced bytes, up to Window-1 beyond). The
 // matcher is Reset to buf and must have been built with the desired
-// Params; matching over the tail is always greedy, mirroring
-// CompressWithDict. This is the dictionary carry-over path of the
-// parallel compressor — because predecessor bytes are adjacent in the
-// input, no dictionary copy is needed.
+// Params; matching over the tail is always greedy (CompressWithDict
+// and StreamCompressor share that convention). This is the dictionary
+// carry-over path of the parallel compressor — because predecessor
+// bytes are adjacent in the input, no dictionary copy is needed.
 func CompressTail(dst []token.Command, m *Matcher, buf []byte, origin int) []token.Command {
 	m.Reset(buf)
 	m.stats.InputBytes += int64(len(buf) - origin)
 	m.InsertRange(0, m.insertEnd(origin))
-	dst = compressGreedyFrom(m, buf, origin, dst)
+	dst, _, _ = compressGreedyRange(m, buf, origin, len(buf), 0, dst)
 	m.FlushObs()
 	return dst
 }
@@ -101,19 +101,29 @@ const maxSkipStride = 128
 // compressGreedy is the matching policy the hardware implements: take
 // the longest match at the current position or emit one literal.
 func compressGreedy(m *Matcher, src []byte, cmds []token.Command) []token.Command {
-	return compressGreedyFrom(m, src, 0, cmds)
+	cmds, _, _ = compressGreedyRange(m, src, 0, len(src), 0, cmds)
+	return cmds
 }
 
-// compressGreedyFrom runs the greedy policy over src[start:]; positions
-// before start are assumed pre-inserted history. Generation-two
-// configurations (4-byte heads and/or match-skip) take their own loop;
-// the generation-one loop below is bit-for-bit the hardware's policy.
-func compressGreedyFrom(m *Matcher, src []byte, start int, cmds []token.Command) []token.Command {
+// compressGreedyRange runs the greedy policy from pos until a decision
+// has been made at every position before stop; positions before pos are
+// assumed pre-inserted history. The last decision may cover bytes past
+// stop, and with stop == len(src) the tail too short to hash is flushed
+// as literals. It returns the extended command stream, the position
+// after the last decision and the match-skip state miss (consecutive
+// failed probes), which a caller resuming the parse passes back in.
+//
+// A caller stopping short of len(src) must leave at least a maximal
+// match plus a hash window of bytes beyond stop, so every decision is
+// the one a whole-buffer run would make — StreamCompressor's contract.
+// Generation-two configurations (4-byte heads and/or match-skip) take
+// their own loop; the generation-one loop below is bit-for-bit the
+// hardware's policy and ignores miss.
+func compressGreedyRange(m *Matcher, src []byte, pos, stop, miss int, cmds []token.Command) ([]token.Command, int, int) {
 	if m.p.gen2() {
-		return compressGreedyGen2(m, src, start, cmds)
+		return compressGreedyGen2(m, src, pos, stop, miss, cmds)
 	}
-	pos := start
-	for pos < len(src) {
+	for pos < stop {
 		if len(src)-pos < token.MinMatch {
 			// Too little left to hash; flush as literals.
 			for ; pos < len(src); pos++ {
@@ -142,25 +152,24 @@ func compressGreedyFrom(m *Matcher, src []byte, start int, cmds []token.Command)
 			pos++
 		}
 	}
-	return cmds
+	return cmds, pos, miss
 }
 
-// compressGreedyGen2 is the generation-two greedy loop: the same
-// longest-match-or-literal policy, plus match-skip acceleration — after
-// R consecutive failed probes the loop advances 1 + R>>SkipTrigger
-// positions per literal run (capped at maxSkipStride), neither probing
-// nor inserting the stepped-over positions — and the 4-byte-head probe
-// (findMatch4, with its batched prefetch) when Hash4 is set. On
-// incompressible input the stride growth turns the dead chain walks the
-// generation-one loop performs at every position into a near-memcpy
-// literal sweep; one found match resets the stride to 1.
-func compressGreedyGen2(m *Matcher, src []byte, start int, cmds []token.Command) []token.Command {
+// compressGreedyGen2 is compressGreedyRange for generation-two
+// configurations: the same longest-match-or-literal policy, plus
+// match-skip acceleration — after R consecutive failed probes the loop
+// advances 1 + R>>SkipTrigger positions per literal run (capped at
+// maxSkipStride), neither probing nor inserting the stepped-over
+// positions — and the 4-byte-head probe (findMatch4, with its batched
+// prefetch) when Hash4 is set. On incompressible input the stride
+// growth turns the dead chain walks the generation-one loop performs at
+// every position into a near-memcpy literal sweep; one found match
+// resets the stride to 1.
+func compressGreedyGen2(m *Matcher, src []byte, pos, stop, miss int, cmds []token.Command) ([]token.Command, int, int) {
 	hashable := m.insertEnd(len(src)) // positions below this can be probed/inserted
 	trigger := m.p.SkipTrigger
 	hash4 := m.p.Hash4
-	pos := start
-	miss := 0 // consecutive failed probes since the last match
-	for pos < len(src) {
+	for pos < stop {
 		if pos >= hashable {
 			// Too little left to hash; flush as literals.
 			for ; pos < len(src); pos++ {
@@ -218,7 +227,7 @@ func compressGreedyGen2(m *Matcher, src []byte, start int, cmds []token.Command)
 		}
 		pos += step
 	}
-	return cmds
+	return cmds, pos, miss
 }
 
 // compressLazy is zlib's deflate_slow policy: hold each match back one

@@ -9,7 +9,8 @@ import (
 // early matches can reach back into it. For an embedded logger whose
 // records share boilerplate (the paper's motivating workload), a preset
 // dictionary recovers the ratio that short blocks otherwise lose while
-// the window warms up.
+// the window warms up. Matching over data is greedy at every preset:
+// this is CompressTail over [dict tail | data].
 //
 // Distances in the returned commands may exceed the number of produced
 // bytes — they reach into the dictionary; replay them with
@@ -28,18 +29,10 @@ func CompressWithDict(dict, data []byte, p Params) ([]token.Command, *Stats, err
 	buf := make([]byte, 0, len(dict)+len(data))
 	buf = append(buf, dict...)
 	buf = append(buf, data...)
-
-	stats := &Stats{InputBytes: int64(len(data))}
-	m, err := NewMatcher(buf, p, stats)
+	m, err := NewMatcher(buf, p, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Warm the chains with every dictionary position (zlib's
-	// deflateSetDictionary does exactly this).
-	m.InsertRange(0, m.insertEnd(len(dict)))
-	// Greedy matching over the data region only.
-	cmds := make([]token.Command, 0, len(data)/3+16)
-	cmds = compressGreedyFrom(m, buf, len(dict), cmds)
-	m.FlushObs()
-	return cmds, stats, nil
+	cmds := CompressTail(make([]token.Command, 0, len(data)/3+16), m, buf, len(dict))
+	return cmds, m.Stats(), nil
 }

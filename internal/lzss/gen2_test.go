@@ -335,28 +335,37 @@ func TestSkipReducesWorkOnRandom(t *testing.T) {
 }
 
 // TestStreamGen2MatchesWholeBuffer extends the streaming identity
-// contract to the generation-two configuration: chunked writes must
-// reproduce the whole-buffer command stream decision for decision,
-// including the persistent skip stride across Write boundaries.
+// contract to the generation-two configurations and every other chain
+// preset: chunked writes must reproduce the whole-buffer command stream
+// (Lazy cleared) and Stats decision for decision, including the
+// persistent skip stride across Write boundaries.
 func TestStreamGen2MatchesWholeBuffer(t *testing.T) {
-	p := SWFastParams()
+	presets := streamPresets(HWSpeedParams().Window, HWSpeedParams().HashBits)
+	for name, p := range gen2TestParams() {
+		presets[name] = p
+	}
 	inputs := gen2TestInputs(t)
-	for iname, input := range inputs {
-		want, _, err := Compress(input, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, chunk := range []int{1, 7, 1024, 65536} {
-			if chunk > len(input) && len(input) > 0 {
-				chunk = len(input)
-			}
+	for pname, p := range presets {
+		for iname, input := range inputs {
 			if len(input) == 0 {
 				continue
 			}
-			got := streamAll(t, input, p, chunk)
-			if !token.Equal(got, want) {
-				i := token.FirstDiff(got, want)
-				t.Fatalf("%s/chunk %d: diverges from whole-buffer at cmd %d", iname, chunk, i)
+			want, wantStats, err := wholeGreedy(input, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []int{1, 7, 1024, 65536} {
+				if chunk > len(input) {
+					chunk = len(input)
+				}
+				got, stats := streamAll(t, input, p, chunk)
+				if !token.Equal(got, want) {
+					i := token.FirstDiff(got, want)
+					t.Fatalf("%s/%s/chunk %d: diverges from whole-buffer at cmd %d", pname, iname, chunk, i)
+				}
+				if stats != wantStats {
+					t.Fatalf("%s/%s/chunk %d: stats %+v, whole-buffer %+v", pname, iname, chunk, stats, wantStats)
+				}
 			}
 		}
 	}

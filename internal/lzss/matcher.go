@@ -124,6 +124,26 @@ func (m *Matcher) Reset(src []byte) {
 	}
 }
 
+// rebase shifts every chain entry down by shift, a whole multiple of
+// the window, so that the source may drop its first shift bytes: ring
+// slots in prev keep addressing the same strings (prev is indexed by
+// position mod window), and entries pointing into the dropped bytes
+// become chain ends (-1), exactly like the hardware zeroing entries that
+// point outside the dictionary. This is ZLib's fill_window rotation,
+// used by StreamCompressor's sliding buffer.
+func (m *Matcher) rebase(shift int) {
+	s := int32(shift)
+	for _, t := range [][]int32{m.head, m.prev} {
+		for i, v := range t {
+			if v < s {
+				t[i] = -1
+			} else {
+				t[i] = v - s
+			}
+		}
+	}
+}
+
 func (m *Matcher) hashAt(pos int) uint32 {
 	m.stats.HashComputes++
 	if m.p.Hash4 {
@@ -313,7 +333,8 @@ func (m *Matcher) saFind(pos int) (length, distance int) {
 // accumulated since the previous flush into the registry wired by
 // SetObservability; with no registry it is one atomic load. Called at
 // block/segment boundaries (CompressAppend, CompressReuse,
-// CompressTail, CompressWithDict), never per byte.
+// CompressTail and, through it, CompressWithDict) and on
+// StreamCompressor's FlushObs, never per byte.
 func (m *Matcher) FlushObs() {
 	k := lzssObs.Load()
 	if k == nil {

@@ -7,12 +7,12 @@ import (
 )
 
 // Observability: the matcher histograms locally (fixed arrays in
-// Matcher / StreamCompressor, plain increments on the hot path) and
-// publishes counter deltas plus bucket batches into the registry at
-// block/segment granularity via FlushObs — so an enabled registry adds
-// a handful of atomic adds per *segment*, not per byte. With no
-// registry wired in (the default), the sink pointer is nil and flushing
-// is a single atomic load.
+// Matcher, which StreamCompressor wraps; plain increments on the hot
+// path) and publishes counter deltas plus bucket batches into the
+// registry at block/segment granularity via FlushObs — so an enabled
+// registry adds a handful of atomic adds per *segment*, not per byte.
+// With no registry wired in (the default), the sink pointer is nil and
+// flushing is a single atomic load.
 
 // Histogram bucket bounds. matchLenBounds spans the legal emitted match
 // lengths (MinMatch..MaxMatch, 3..258); chainDepthBounds spans

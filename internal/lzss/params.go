@@ -97,8 +97,9 @@ type Params struct {
 	// bounds the per-direction rank-neighbour scan and Nice keeps its
 	// early-exit meaning; HashBits, InsertLimit and the hash-policy
 	// fields are ignored. This is the high-ratio tier behind levels
-	// 10-12 (SARatioParams); block-oriented, so incompatible with
-	// StreamCompressor, and incompatible with the generation-two greedy
+	// 10-12 (SARatioParams); block-oriented, so NewStreamCompressor
+	// rejects it (streaming it needs a chunked suffix array with window
+	// overlap), and incompatible with the generation-two greedy
 	// features (Hash4, SkipTrigger) and custom Hash policies.
 	SA bool
 	// SkipTrigger, when non-zero, enables match-skip acceleration in the

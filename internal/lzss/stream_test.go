@@ -2,6 +2,7 @@ package lzss
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 	"lzssfpga/internal/token"
 )
 
-func streamAll(t *testing.T, data []byte, p Params, chunk int) []token.Command {
+func streamAll(t *testing.T, data []byte, p Params, chunk int) ([]token.Command, Stats) {
 	t.Helper()
 	sc, err := NewStreamCompressor(p)
 	if err != nil {
@@ -23,27 +24,55 @@ func streamAll(t *testing.T, data []byte, p Params, chunk int) []token.Command {
 		}
 		cmds = append(cmds, sc.Write(data[i:end])...)
 	}
-	return append(cmds, sc.Close()...)
+	return append(cmds, sc.Close()...), sc.Stats()
+}
+
+// streamPresets is every chain-matcher preset a stream accepts: levels
+// 1-9 at the given geometry plus the two 4 KiB design points.
+func streamPresets(window int, hashBits uint) map[string]Params {
+	ps := map[string]Params{"hwspeed": HWSpeedParams(), "swfast": SWFastParams()}
+	for l := Level(1); l <= LevelMax; l++ {
+		ps[fmt.Sprintf("level%d", l)] = LevelParams(l, window, hashBits)
+	}
+	return ps
+}
+
+// wholeGreedy is the whole-buffer run a stream over p must reproduce:
+// Compress with Lazy cleared, since the stream parses greedily.
+func wholeGreedy(data []byte, p Params) ([]token.Command, Stats, error) {
+	p.Lazy = false
+	cmds, stats, err := Compress(data, p)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return cmds, *stats, nil
 }
 
 func TestStreamMatchesWholeBuffer(t *testing.T) {
-	// The streaming compressor must emit the identical command stream
-	// as the one-shot Compress, regardless of write chunking.
-	p := testParams()
+	// The streaming compressor must emit the identical command stream and
+	// Stats as the one-shot Compress (Lazy cleared) at every chain preset,
+	// regardless of write chunking.
 	rng := rand.New(rand.NewSource(14))
 	data := make([]byte, 100_000)
 	for i := range data {
 		data[i] = byte(rng.Intn(12)) // compressible
 	}
-	whole, _, err := Compress(data, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 100, 4096, 65536, len(data)} {
-		got := streamAll(t, data, p, chunk)
-		if !token.Equal(got, whole) {
-			i := token.FirstDiff(got, whole)
-			t.Fatalf("chunk %d: diverges from whole-buffer at cmd %d", chunk, i)
+	presets := streamPresets(4096, 12)
+	presets["test"] = testParams()
+	for name, p := range presets {
+		whole, wholeStats, err := wholeGreedy(data, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 7, 100, 4096, 65536, len(data)} {
+			got, stats := streamAll(t, data, p, chunk)
+			if !token.Equal(got, whole) {
+				i := token.FirstDiff(got, whole)
+				t.Fatalf("%s/chunk %d: diverges from whole-buffer at cmd %d", name, chunk, i)
+			}
+			if stats != wholeStats {
+				t.Fatalf("%s/chunk %d: stats %+v, whole-buffer %+v", name, chunk, stats, wholeStats)
+			}
 		}
 	}
 }
@@ -81,7 +110,7 @@ func TestStreamSlidesWindow(t *testing.T) {
 func TestStreamRoundTrip(t *testing.T) {
 	p := testParams()
 	data := []byte("stream me stream me stream me until the very end!")
-	cmds := streamAll(t, data, p, 5)
+	cmds, _ := streamAll(t, data, p, 5)
 	out, err := Decompress(cmds)
 	if err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("round trip failed: %v", err)
@@ -91,7 +120,7 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestStreamEmptyAndTiny(t *testing.T) {
 	p := testParams()
 	for _, data := range [][]byte{{}, {1}, {1, 2}, {1, 2, 3}} {
-		cmds := streamAll(t, data, p, 1)
+		cmds, _ := streamAll(t, data, p, 1)
 		out, err := Decompress(cmds)
 		if err != nil || !bytes.Equal(out, data) {
 			t.Fatalf("tiny %v: round trip failed", data)
@@ -140,31 +169,43 @@ func TestStreamStats(t *testing.T) {
 }
 
 func TestQuickStreamEquivalence(t *testing.T) {
-	p := Params{Window: 1024, HashBits: 9, MaxChain: 16, Nice: 64, InsertLimit: 8}
-	f := func(data []byte, chunkSel uint8, mod uint8) bool {
+	presets := streamPresets(1024, 9)
+	presets["test"] = Params{Window: 1024, HashBits: 9, MaxChain: 16, Nice: 64, InsertLimit: 8}
+	f := func(seed []byte, chunkSel, mod, tiles uint8) bool {
+		// quick's slices are shorter than one lookahead, so tile the seed
+		// (shifting each tile's alphabet) into inputs of up to ~12 KiB:
+		// long enough for mid-stream decisions and several slides.
 		m := int(mod%8) + 2
-		for i := range data {
-			data[i] = byte(int(data[i]) % m)
+		var data []byte
+		for k := 0; k <= int(tiles); k++ {
+			for _, b := range seed {
+				data = append(data, byte((int(b)+k*k)%m))
+			}
 		}
 		chunk := int(chunkSel)%97 + 1
-		whole, _, err := Compress(data, p)
-		if err != nil {
-			return false
-		}
-		sc, err := NewStreamCompressor(p)
-		if err != nil {
-			return false
-		}
-		var cmds []token.Command
-		for i := 0; i < len(data); i += chunk {
-			end := i + chunk
-			if end > len(data) {
-				end = len(data)
+		for _, p := range presets {
+			whole, wholeStats, err := wholeGreedy(data, p)
+			if err != nil {
+				return false
 			}
-			cmds = append(cmds, sc.Write(data[i:end])...)
+			sc, err := NewStreamCompressor(p)
+			if err != nil {
+				return false
+			}
+			var cmds []token.Command
+			for i := 0; i < len(data); i += chunk {
+				end := i + chunk
+				if end > len(data) {
+					end = len(data)
+				}
+				cmds = append(cmds, sc.Write(data[i:end])...)
+			}
+			cmds = append(cmds, sc.Close()...)
+			if !token.Equal(cmds, whole) || sc.Stats() != wholeStats {
+				return false
+			}
 		}
-		cmds = append(cmds, sc.Close()...)
-		return token.Equal(cmds, whole)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -135,7 +135,10 @@ type StreamWriter interface {
 
 // NewWriter returns a streaming zlib compressor writing to w: an
 // incremental LZSS stage with a sliding window feeding per-block
-// fixed/dynamic Huffman coding. Close finishes the stream.
+// fixed/dynamic Huffman coding. Close finishes the stream. The LZSS
+// parse is greedy at every chain level: the commands equal a
+// whole-buffer Compress with p.Lazy cleared, so levels 6 and 9 stream
+// at greedy ratio. The suffix-array levels 10-12 are rejected.
 func NewWriter(w io.Writer, p Params) (StreamWriter, error) {
 	return deflate.NewWriter(w, p)
 }
